@@ -16,8 +16,8 @@ recency), and the miss path then *updates* the same map from a later
 pipeline stage, the compiler plans a serialization window over the
 conntrack stages — at most one packet in flight between first and last
 access — which is the structural hazard this application exists to
-exercise end-to-end (VM, fast/codegen simulators and RTL must agree on
-eviction order bit-for-bit).
+exercise end-to-end (VM, interpreted/codegen simulators and RTL must
+agree on eviction order bit-for-bit).
 
 Map ``conntrack``: lru_hash, key 16 B = src(4) dst(4) sport(2) dport(2)
 pad(4) in wire order (little-endian loads of wire bytes), value 8 B

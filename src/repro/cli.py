@@ -243,10 +243,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     program = load_program(args.program)
     pipeline = _compile(args, program)
     frames = _gen_frames(args)
-    engine = getattr(args, "engine", None)
     rtl_engine = getattr(args, "rtl_engine", None) or "rtl"
     result = run_three_way(program, frames, pipeline=pipeline,
-                           engine=engine, rtl_engine=rtl_engine,
+                           engine=args.engine, rtl_engine=rtl_engine,
                            setup=_app_setup(args.program))
     if collect:
         reg = telemetry.get_registry()
@@ -416,7 +415,7 @@ def _run_once(pipeline, program, frames, engine: str, workers: int = 1,
     shard_sizes) — shard_sizes is ``None`` on the single-worker path.
 
     ``engine`` is a pipeline backend from the registry ("interpreted",
-    "fast", "codegen"). With ``workers > 1`` the parallel engine shards
+    "codegen"). With ``workers > 1`` the parallel engine shards
     the trace RSS-style over that many replica processes and the merged
     report is returned.
     """
@@ -450,12 +449,13 @@ def _run_once(pipeline, program, frames, engine: str, workers: int = 1,
     return report, elapsed, None
 
 
-def _resolve_engine(args: argparse.Namespace) -> str:
-    """``--engine`` wins; otherwise the legacy ``--fast`` boolean."""
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        return engine
-    return "fast" if getattr(args, "fast", True) else "interpreted"
+def _rate(processed: int, elapsed: float, lost: int = 0) -> str:
+    """Throughput over the frames an engine actually *processed*: frames
+    the modelled input queue dropped were offered but never ran."""
+    text = f"{processed / elapsed:,.0f} packets/s"
+    if lost:
+        text += f" (lost={lost})"
+    return text
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -464,7 +464,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     pipeline = _compile(args, program)
     frames = _gen_frames(args)
     setup = _app_setup(args.program)
-    engine = _resolve_engine(args)
+    engine = args.engine
     spec = get_engine(engine)
     if spec.kind != "pipeline":
         # Reference/RTL engines: no worker sharding, no record-free mode
@@ -475,10 +475,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = run_engine(engine, program, frames, pipeline=pipeline,
                             setup=setup)
         elapsed = time.perf_counter() - start
-        actions = [a for a in result.actions if a is not None]
-        print(f"{engine}: {len(actions)}/{len(frames)} packets")
+        processed = sum(a is not None for a in result.actions)
+        print(f"{engine}: {processed}/{len(frames)} packets")
         print(f"engine: {engine}, wall {elapsed * 1e3:.1f} ms, "
-              f"{len(frames) / elapsed:,.0f} packets/s")
+              + _rate(processed, elapsed))
         return 0
     profiler = None
     if args.profile:
@@ -495,8 +495,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.workers > 1:
         mode += f", {args.workers} workers"
     print(report.summary())
-    print(f"engine: {mode}, wall {elapsed * 1e3:.1f} ms, "
-          f"{len(frames) / elapsed:,.0f} packets/s")
+    rate = _rate(report.packets_out, elapsed, report.packets_dropped_queue)
+    print(f"engine: {mode}, wall {elapsed * 1e3:.1f} ms, {rate}")
     if collect:
         publish_report(report, telemetry.get_registry(), app=program.name,
                        engine="hwsim", shard_sizes=shard_sizes)
@@ -516,8 +516,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     frames = _gen_frames(args)
     setup = _app_setup(args.program)
     # Every registered pipeline engine runs the identical workload; the
-    # interpreted engine is the parity reference (all three must agree on
-    # cycle counts and verdicts — they model the same hardware).
+    # interpreted engine is the parity reference (all must agree on cycle
+    # counts and verdicts — they model the same hardware).
     engines = pipeline_engine_names()
     results = {}
     for engine in engines:
@@ -535,26 +535,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         print(f"{engine:<14s}  {dt * 1e3:>9.1f}  "
-              f"{len(frames) / dt:>12,.0f}  {slow_dt / dt:>7.2f}x")
-    fast_report, fast_dt, _ = results["fast"]
+              f"{report.packets_out / dt:>12,.0f}  {slow_dt / dt:>7.2f}x")
+    codegen_report, codegen_dt, _ = results["codegen"]
     shard_sizes = None
     if args.workers > 1:
         par_report, par_dt, shard_sizes = _run_once(
-            pipeline, program, frames, "fast", workers=args.workers,
+            pipeline, program, frames, "codegen", workers=args.workers,
             setup=setup)
-        if par_report.action_counts != fast_report.action_counts:
+        if par_report.action_counts != codegen_report.action_counts:
             print("ERROR: parallel engine action counts diverged",
                   file=sys.stderr)
             return 1
-        label = f"fast x{args.workers}"
+        label = f"codegen x{args.workers}"
         print(f"{label:<14s}  {par_dt * 1e3:>9.1f}  "
-              f"{len(frames) / par_dt:>12,.0f}  {slow_dt / par_dt:>7.2f}x")
-        print(f"parallel scaling: {fast_dt / par_dt:.2f}x over 1 worker")
+              f"{par_report.packets_out / par_dt:>12,.0f}  "
+              f"{slow_dt / par_dt:>7.2f}x")
+        print(f"parallel scaling: {codegen_dt / par_dt:.2f}x over 1 worker")
+    lost = ref_report.packets_dropped_queue
     print(f"parity OK: {ref_report.cycles} cycles, "
           f"{sum(ref_report.action_counts.values())} packets on "
-          f"{len(engines)} engines")
+          f"{len(engines)} engines" + (f" (lost={lost})" if lost else ""))
     if collect:
-        publish_report(fast_report, telemetry.get_registry(),
+        publish_report(codegen_report, telemetry.get_registry(),
                        app=program.name, engine="hwsim",
                        shard_sizes=shard_sizes)
         _export_telemetry(args)
@@ -753,12 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_compile_flags(p_run)
     _add_traffic_flags(p_run)
-    p_run.add_argument("--fast", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="use the pre-compiled stage kernels (default on; "
-                            "shorthand for --engine fast/interpreted)")
-    p_run.add_argument("--engine", choices=engine_names(), default=None,
-                       help="execution backend (overrides --fast): "
+    p_run.add_argument("--engine", choices=engine_names(), default="codegen",
+                       help="execution backend (default %(default)s): "
                             + ", ".join(engine_names()))
     p_run.add_argument("--workers", type=int, default=1,
                        help="pipeline replicas: RSS-shard the trace across "
@@ -800,9 +798,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_traffic_flags(p_verify, packets=64, flows=8)
     _add_metrics_flag(p_verify)
     p_verify.add_argument("--engine", choices=pipeline_engine_names(),
-                          default=None,
+                          default="codegen",
                           help="pipeline-simulator backend for the hwsim "
-                               "leg (default: fast)")
+                               "leg (default: %(default)s)")
     p_verify.add_argument("--rtl-engine", choices=list(RTL_ENGINES),
                           default="rtl", dest="rtl_engine",
                           help="RTL-leg simulation engine (default: "

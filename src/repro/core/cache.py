@@ -7,8 +7,8 @@ start-up time for repeated experiment runs over the same applications
 is a pure function of the bytecode, the map definitions and the compile
 options, so it can be memoised on disk: the cache key is a SHA-256 over
 exactly those inputs plus a format version, and the value is the pickled
-pipeline (stage kernels are excluded from pickling and re-derived on
-first simulation, see ``Stage.__getstate__``).
+pipeline (including its generated codegen source, see
+:mod:`repro.hwsim.codegen`).
 
 Layout: one ``<digest>.pipeline.pkl`` file per entry under
 ``$EHDL_CACHE_DIR`` (default ``~/.cache/ehdl-repro``). Writes go through

@@ -1,13 +1,13 @@
-"""Source-emitting execution backend for the pipeline simulator.
+"""Source-emitting execution backend for the pipeline simulator: the
+``codegen`` engine, the simulator's default and its one fast path.
 
-The ``fast`` engine (:mod:`repro.hwsim.kernels`) already decodes every
-:class:`~repro.core.pipeline.PipeOp` once at construction — but it still
-pays one closure call per op per packet per cycle, plus a kernel call
-per stage. This module goes the rest of the way, in the spirit of the
-paper's own argument (compiling the program into specialized hardware
-beats interpreting it on NIC cores): each stage's op list is translated
-into *generated Python source* — ops inlined as statements, widths,
-offsets, masks and immediates folded into literals, predication and
+The ``interpreted`` engine decodes every
+:class:`~repro.core.pipeline.PipeOp` for every packet in every cycle.
+This module instead decodes each op once, in the spirit of the paper's
+own argument (compiling the program into specialized hardware beats
+interpreting it on NIC cores): each stage's op list is translated into
+*generated Python source* — ops inlined as statements, widths, offsets,
+masks and immediates folded into literals, predication and
 snapshot/flush logic emitted only for pipelines whose hazard plans need
 them — and the per-stage bodies are additionally stitched into a single
 generated cycle-advance function so the hot shift loop runs without any
@@ -15,33 +15,39 @@ per-stage dispatch at all.
 
 Layout of a generated module:
 
-* ``_s<N>`` — stage N's body with the stage-kernel contract
+* ``_s<N>`` — stage N's body with the stage-function contract
   ``fn(sim, pkt, slots, barrier_queues, input_queue, report) -> bool``
-  (used by the barrier-release / stalled paths, and for stage 1 at
-  injection);
+  (returns whether a flush fired; used by the barrier-release / stalled
+  and windowed paths, and for stage 1 at injection);
 * ``_entry`` — the elided-ctx-load entry ops (or ``None``);
 * ``_advance`` — the whole shift phase of one hazard-free cycle: shifts
   every in-flight packet one slot deeper and executes its new stage's
   body inline, deepest first;
 * ``_observe`` — the per-cycle telemetry increments with the stage-busy
-  loop unrolled; the simulator binds it into the run loop only when
-  telemetry is enabled at construction, so a disabled run carries zero
-  telemetry branches in generated code;
-* ``_STAGE_FNS`` / ``_ENTRY`` / ``_ADVANCE`` / ``_OBSERVE`` — the tuple
-  and bindings :class:`~repro.hwsim.sim.PipelineSimulator` consumes.
+  loop unrolled; the run loop calls it only when telemetry is enabled
+  for that run, so a disabled run carries zero telemetry branches in
+  generated code;
+* ``_stream`` — for hazard-free pipelines only (see
+  :meth:`_Emitter.stream_eligible`): each packet runs front to back with
+  closed-form cycle accounting, no per-cycle loop;
+* ``_STAGE_FNS`` / ``_ENTRY`` / ``_ADVANCE`` / ``_OBSERVE`` /
+  ``_STREAM`` — the tuple and bindings
+  :class:`~repro.hwsim.sim.PipelineSimulator` consumes.
 
-The emitted semantics mirror :mod:`repro.hwsim.kernels` statement for
-statement (which in turn mirrors the interpreted path), so a codegen run
-is bit-identical — same XDP actions, packet bytes, map state AND cycle
-counts. Anything the kernels defer to the simulator (WAR-buffered map
-stores, complex atomics, unknown helpers, flush checks) is emitted as a
-call to the same ``sim._*`` fallback.
+The emitted semantics mirror the interpreted primitives of
+:class:`~repro.hwsim.sim.PipelineSimulator` — ``_execute_stage``,
+``_execute_op``, ``_apply_terminator``, ``_mem_load``/``_mem_store``,
+``_map_channel_call`` and ``_run_entry_ops`` — so a codegen run is
+bit-identical to an interpreted one: same XDP actions, packet bytes, map
+state AND cycle counts. Anything rare or stateful (WAR-buffered map
+stores, complex atomics, map updates and deletes, unknown helpers,
+flush checks) is emitted as a call to the same ``sim._*`` method the
+interpreted engine runs.
 
-Unlike kernels — which are closures and therefore unpicklable — the
-generated *source text* persists: the compiler attaches it to the
+The generated *source text* persists: the compiler attaches it to the
 :class:`~repro.core.pipeline.Pipeline` (``codegen_source``), the compile
 cache pickles it with the pipeline, and parallel workers inherit it, so
-cache hits and worker startup skip kernel compilation entirely.
+cache hits and worker startup skip code generation entirely.
 Regenerations outside the compiler are counted by the
 ``ehdl_codegen_recompile_total`` telemetry counter.
 """
@@ -139,7 +145,7 @@ class _Emitter:
         # position consumer (sim._mem_store's WAR threshold) gets a
         # just-in-time position write right before the fallback call.
         self.maintain = self.any_flush or self.may_pend
-        # Packets executing any kernel op already passed every entry
+        # Packets executing any stage op already passed every entry
         # length comparator, so constant packet accesses below the
         # largest entry threshold need no bounds check — unless the
         # program can change the packet length mid-flight (adjust_head/
@@ -435,7 +441,7 @@ class _Emitter:
             "ctx": (f"{_CTX_LO} <= _a < {_CTX_HI}", ctx_body),
         }
         # The regions are range-disjoint, so test order is free: put the
-        # labeled region first and keep the kernels' order for the rest.
+        # labeled region first and a fixed order for the rest.
         order = ["packet", "stack", "map", "ctx"]
         label = op.label
         if label is not None:
@@ -482,7 +488,7 @@ class _Emitter:
                 return None
             if off + size <= self.pkt_min_len:
                 # Subsumed by the entry length comparators: every packet
-                # reaching kernel ops is at least pkt_min_len bytes.
+                # reaching stage ops is at least pkt_min_len bytes.
                 return [f"{D} = {self._unpack(size)}(pkt.ctx.packet, {off})[0]"]
             # Offset is relative to the current data pointer, exactly
             # like the dynamic path's _a - DATA0 - head_adjust; only the
@@ -836,7 +842,9 @@ class _Emitter:
     # -- op -> statements ----------------------------------------------------
 
     def op_may_side_effect(self, op: PipeOp) -> bool:
-        """Mirror of the kernels' may_side_effect flags."""
+        """Whether ``sim._execute_op`` can return a side-effect
+        descriptor for this op (stores, atomics, map-writing helpers,
+        unknown helpers): only those need snapshot/flush code."""
         insn = op.insn
         cls = insn.opclass
         if cls in (isa.BPF_ST, isa.BPF_STX):
@@ -947,7 +955,8 @@ class _Emitter:
         Returns (lines, has_flush) or None when the stage has nothing to
         execute. The caller guarantees ``pkt.done`` is False on entry
         (prologue or shift-loop guard), so done is only re-checked after
-        ops that can set it — exactly the kernels' per-op break.
+        ops that can set it — equivalent to _execute_stage's per-op
+        ``pkt.done`` break.
         """
         if stage.kind is not StageKind.OPS or not stage.ops:
             return None
@@ -976,7 +985,7 @@ class _Emitter:
 
     def entry_body(self) -> Optional[List[str]]:
         """Entry ops run unconditionally, with no inter-op done checks
-        (mirrors compile_entry_kernel); side effects are impossible for
+        (mirrors sim._run_entry_ops); side effects are impossible for
         ctx loads and are ignored."""
         if not self.pipeline.entry_ops:
             return None
@@ -1280,8 +1289,8 @@ def generate_pipeline_source(pipeline: Pipeline) -> str:
     adv.append("return flushed" if any_stage_flush else "return False")
     # LRU serialization windows: the unrolled whole-cycle advance knows
     # nothing about interlock stalls, so windowed pipelines fall back to
-    # the simulator's generic shift loop (which dispatches _STAGE_FNS as
-    # kernels) — identical stall timing on every engine by construction.
+    # the simulator's generic shift loop (which dispatches _STAGE_FNS
+    # per stage) — identical stall timing on every engine by construction.
     serial = bool(pipeline.serial_windows)
     if not serial:
         fn_sections.append(

@@ -11,7 +11,7 @@ this equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ebpf.isa import Program
@@ -70,7 +70,7 @@ def run_differential(
     time_ns: int = 0,
     setup=None,
     ignore_maps: Sequence[str] = (),
-    engine: Optional[str] = None,
+    engine: str = "codegen",
 ) -> DiffResult:
     """Run ``frames`` through both the VM and the compiled pipeline.
 
@@ -78,15 +78,12 @@ def run_differential(
     rate, the most hazard-prone schedule). ``setup(maps)`` — if given — is
     applied to both sides' fresh map sets before execution (host-installed
     state such as routes or ACL entries). ``engine`` picks the pipeline
-    execution backend ("interpreted", "fast" or "codegen"; see
+    execution backend ("codegen" or "interpreted"; see
     :mod:`repro.hwsim.engines`) without touching the other sim options.
     """
     if pipeline is None:
         pipeline = compile_program(program, compile_options)
-    if engine is not None:
-        from dataclasses import replace
-
-        sim_options = replace(sim_options or SimOptions(), engine=engine)
+    sim_options = replace(sim_options or SimOptions(), engine=engine)
 
     vm_maps = MapSet(program.maps)
     if setup is not None:

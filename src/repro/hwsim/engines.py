@@ -1,38 +1,35 @@
 """Execution-backend registry: every way this repo can execute an XDP
 program, behind one interface.
 
-Historically the choice of executor was scattered across booleans —
-``SimOptions.fast``, ad-hoc ``Vm`` legs in the differential harnesses,
-a separate RTL runner — so each new backend (and each new consumer:
-CLI, benches, differential tests) re-invented enumeration. The registry
-makes the set explicit:
+The registry makes the set of executors explicit, so the CLI, the
+benches and the differential tests enumerate it instead of each
+hard-coding its own legs:
 
 =========== ========== ============================================
 name        kind       executor
 =========== ========== ============================================
 vm          reference  sequential interpreter (:class:`repro.ebpf.vm.Vm`)
 interpreted pipeline   cycle-level simulator, per-op decode
-fast        pipeline   simulator + precompiled closure kernels
-codegen     pipeline   simulator + generated/compile()d source
+codegen     pipeline   simulator + generated/compile()d source (default)
 rtl         rtl        compiled levelized schedule over the emitted VHDL
 rtl-interp  rtl        delta-cycle interpreter over the same netlist
 =========== ========== ============================================
 
-The three ``pipeline`` engines are different executions of the *same*
+Each layer has one readable reference executor and one fast one. The
+two ``pipeline`` engines are different executions of the *same*
 cycle-level model and must agree on everything — XDP actions, packet
-bytes, map state AND cycle counts (``cycle_exact``). The ``vm`` and
-``rtl*`` engines share the end-to-end observables (actions, bytes,
-maps) but not the cycle structure: the VM has no pipeline, and the RTL
-runner models one packet in flight. The two ``rtl`` engines simulate
+bytes, map state AND cycle counts (``cycle_exact``); ``interpreted``
+is the reference and ``codegen`` (the :class:`SimOptions` default) the
+fast path. The ``vm`` and ``rtl*`` engines share the end-to-end
+observables (actions, bytes, maps) but not the cycle structure: the VM
+has no pipeline, and the RTL runner models one packet in flight. The two ``rtl`` engines simulate
 the *same elaborated netlist* and must agree bit-for-bit on every net
 each cycle; ``rtl-interp`` is kept as the slow, obviously-correct
 baseline for differential testing of the compiled schedule.
 
 :func:`run_engine` executes any engine over a packet sequence and
 returns a normalized :class:`EngineRun`; :func:`compare_runs` diffs two
-of them, honouring ``cycle_exact``. The differential harnesses, the
-``--engine`` CLI flag and the perf bench all enumerate engines through
-this module instead of hard-coding ``fast=True`` booleans.
+of them, honouring ``cycle_exact``.
 """
 
 from __future__ import annotations
@@ -72,10 +69,6 @@ ENGINES: Dict[str, EngineSpec] = {
         EngineSpec(
             "interpreted", "pipeline",
             "cycle-level pipeline simulator with per-op decode", True,
-        ),
-        EngineSpec(
-            "fast", "pipeline",
-            "pipeline simulator with precompiled closure kernels", True,
         ),
         EngineSpec(
             "codegen", "pipeline",
@@ -163,6 +156,10 @@ def run_engine(
     entries) before execution, identically for every engine. ``gap`` is
     the injection spacing for pipeline engines; the RTL engine widens it
     to its single-packet-in-flight minimum (``n_stages + 2``).
+
+    Results are indexed by input frame. A frame the modelled input
+    queue dropped (``SimOptions.input_queue_capacity``) has no verdict:
+    its ``actions``/``frames``/``packet_cycles`` entries are ``None``.
     """
     spec = get_engine(name)
     frames = [bytes(f) for f in frames]
@@ -190,10 +187,11 @@ def run_engine(
 
         runner = RtlRunner(pipeline, maps=maps, time_ns=time_ns,
                            engine=name)
-        report = runner.run_packets(
-            frames, gap=max(gap, pipeline.n_stages + 2)
-        )
+        gap = max(gap, pipeline.n_stages + 2)
+        report = runner.run_packets(frames, gap=gap)
     else:
+        if gap < 1:
+            raise ValueError(f"gap must be >= 1, got {gap}")
         options = sim_options if sim_options is not None else SimOptions()
         options = replace(options, engine=name, keep_records=True)
         sim = PipelineSimulator(
@@ -201,12 +199,15 @@ def run_engine(
         )
         report = sim.run_packets(frames, gap=gap)
 
-    by_pid = {rec.pid: rec for rec in report.records}
+    # Frame i arrives at cycle i * gap. Record pids number *admitted*
+    # frames only, so after a queue drop they no longer match the input
+    # index; the arrival cycle always does.
+    by_index = {rec.arrival_cycle // gap: rec for rec in report.records}
     actions: List[Optional[XdpAction]] = []
     out_frames: List[Optional[bytes]] = []
     cycles: List[Optional[Tuple[int, int]]] = []
     for i in range(len(frames)):
-        rec = by_pid.get(i)
+        rec = by_index.get(i)
         if rec is None:
             actions.append(None)
             out_frames.append(None)

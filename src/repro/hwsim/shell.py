@@ -58,7 +58,7 @@ class NicSystem:
         maps: Optional[MapSet] = None,
         shell: Optional[ShellConfig] = None,
         keep_records: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "codegen",
     ) -> None:
         self.pipeline = pipeline
         self.shell = shell or ShellConfig()

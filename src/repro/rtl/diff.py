@@ -76,7 +76,7 @@ def run_three_way(
     setup=None,
     ignore_maps: Sequence[str] = (),
     vhdl_text: Optional[str] = None,
-    engine: Optional[str] = None,
+    engine: str = "codegen",
     rtl_engine: str = "rtl",
 ) -> ThreeWayResult:
     """Run ``frames`` through the VM, the pipeline simulator, and the
@@ -86,8 +86,8 @@ def run_three_way(
     same host-installed state. ``vhdl_text`` lets callers diff an
     already-emitted (possibly hand-edited) design; by default the
     pipeline is re-emitted. ``engine`` selects the pipeline-simulator
-    execution backend for the hwsim leg ("interpreted", "fast" or
-    "codegen"; see :mod:`repro.hwsim.engines`); ``rtl_engine`` selects
+    execution backend for the hwsim leg ("codegen" or "interpreted";
+    see :mod:`repro.hwsim.engines`); ``rtl_engine`` selects
     the RTL leg's simulation engine ("rtl" for the compiled levelized
     schedule, "rtl-interp" for the delta-cycle interpreter).
     """

@@ -113,7 +113,7 @@ class XdpOffload:
         program: ProgramLike,
         options: Optional[CompileOptions] = None,
         shell: Optional[ShellConfig] = None,
-        engine: Optional[str] = None,
+        engine: str = "codegen",
     ) -> None:
         self.program = self._resolve(program)
         self.pipeline: Pipeline = compile_program(self.program, options)

@@ -75,7 +75,7 @@ class ServeConfig:
 
     programs: List[ProgramSpec]
     feed: FeedSpec
-    engine: Optional[str] = "codegen"
+    engine: str = "codegen"
     batch_size: int = 256
     compile_options: Any = None
     exit_when_drained: bool = True

@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -157,14 +158,31 @@ out:
 
 
 class TestRunAndBench:
-    def test_run_fast_default(self, capsys, prog_file):
+    def test_run_codegen_default(self, capsys, prog_file):
         assert main(["run", prog_file, "--packets", "60", "--flows", "4"]) == 0
         out = capsys.readouterr().out
-        assert "engine: fast" in out and "packets/s" in out
+        assert "engine: codegen" in out and "packets/s" in out
 
     def test_run_interpreted(self, capsys, prog_file):
-        assert main(["run", prog_file, "--packets", "40", "--no-fast"]) == 0
+        assert main(["run", prog_file, "--packets", "40",
+                     "--engine", "interpreted"]) == 0
         assert "engine: interpreted" in capsys.readouterr().out
+
+    def test_run_rate_counts_processed_not_offered(self, capsys):
+        # At line rate ct_firewall's serialization window backs up the
+        # input queue, which drops 3513 of the 8000 offered frames; the
+        # printed rate must cover the 4487 frames the pipeline retired.
+        assert main(["run", "app:ct_firewall", "--workload", "auto",
+                     "--packets", "8000", "--engine", "codegen"]) == 0
+        out = capsys.readouterr().out
+        assert "out=4487 lost=3513" in out
+        match = re.search(r"wall ([\d.]+) ms, ([\d,]+) packets/s "
+                          r"\(lost=(\d+)\)", out)
+        assert match, out
+        wall_s = float(match.group(1)) / 1e3
+        rate = int(match.group(2).replace(",", ""))
+        assert int(match.group(3)) == 3513
+        assert rate == pytest.approx(4487 / wall_s, rel=0.01)
 
     def test_run_profile_prints_top_functions(self, capsys, prog_file):
         assert main(["run", prog_file, "--packets", "30", "--profile"]) == 0
@@ -175,7 +193,7 @@ class TestRunAndBench:
         assert main(["bench", prog_file, "--packets", "80",
                      "--flows", "4"]) == 0
         out = capsys.readouterr().out
-        assert "fast" in out and "interpreted" in out
+        assert "codegen" in out and "interpreted" in out
         assert "speedup" in out and "parity OK" in out
 
     def test_run_with_workers(self, capsys, prog_file):
@@ -188,7 +206,7 @@ class TestRunAndBench:
         assert main(["bench", prog_file, "--packets", "80", "--flows", "4",
                      "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "fast x2" in out and "parallel scaling" in out
+        assert "codegen x2" in out and "parallel scaling" in out
 
 
 class TestRtlCommands:

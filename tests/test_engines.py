@@ -3,8 +3,8 @@
 The registry is the single enumeration point for every way the repo can
 execute an XDP program. Two properties are load-bearing and pinned here:
 
-* the three ``pipeline`` engines (interpreted, fast, codegen) are
-  different executions of the *same* cycle-level model and must be
+* the two ``pipeline`` engines (interpreted, codegen) are different
+  executions of the *same* cycle-level model and must be
   bit-identical — XDP actions, packet bytes, final map state AND
   per-packet inject/exit cycles — on every evaluation app;
 * the ``vm`` and ``rtl`` engines share the end-to-end observables
@@ -37,27 +37,26 @@ from tests.test_rtl import APP_CASES
 # bpf_ktime_get_ns on the cycle-counting engines as on the VM.
 _FROZEN = SimOptions(clock_mhz=1e9)
 
-# Every unordered pair with at least one pipeline engine; the three
-# pipeline pairs additionally compare cycle structure.
+# The pipeline pair additionally compares cycle structure.
 PIPELINE_PAIRS = [
-    ("interpreted", "fast"),
     ("interpreted", "codegen"),
-    ("fast", "codegen"),
 ]
 REFERENCE_PAIRS = [
     ("vm", "codegen"),
-    ("vm", "fast"),
 ]
 
 
 class TestRegistry:
     def test_engine_names(self):
         assert engine_names() == [
-            "vm", "interpreted", "fast", "codegen", "rtl", "rtl-interp"
+            "vm", "interpreted", "codegen", "rtl", "rtl-interp"
         ]
 
     def test_pipeline_engine_names(self):
-        assert pipeline_engine_names() == ["interpreted", "fast", "codegen"]
+        assert pipeline_engine_names() == ["interpreted", "codegen"]
+
+    def test_codegen_is_the_default(self):
+        assert SimOptions().engine == "codegen"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -155,6 +154,62 @@ class TestEngineMatrix:
         assert tight.total_cycles < wide.total_cycles
 
 
+# A read-modify-write counter at line rate: every packet's store flushes
+# its successor, and the reload stalls back up the input queue. The
+# verdict (DROP/PASS) is the parity of packet byte 0.
+_LOSSY = """
+.map m array key=4 value=8 entries=1
+
+    r6 = *(u32 *)(r1 + 0)
+    r8 = *(u8 *)(r6 + 0)
+    r2 = 0
+    *(u32 *)(r10 - 4) = r2
+    r1 = map[m]
+    r2 = r10
+    r2 += -4
+    call 1
+    if r0 == 0 goto out
+    r2 = *(u64 *)(r0 + 0)
+    r2 += 1
+    *(u64 *)(r0 + 0) = r2
+out:
+    r0 = r8
+    r0 &= 1
+    r0 += 1
+    exit
+"""
+
+
+class TestQueueLossAlignment:
+    @pytest.mark.parametrize("engine", pipeline_engine_names())
+    def test_results_stay_indexed_by_input_frame(self, engine):
+        from repro.ebpf.asm import assemble_program
+
+        program = assemble_program(_LOSSY)
+        # byte 0 carries the frame's index; the program never rewrites it
+        frames = [bytes([i, 0xA5]) + bytes(62) for i in range(60)]
+        vm = run_engine("vm", program, frames)
+        run = run_engine(engine, program, frames,
+                         sim_options=SimOptions(input_queue_capacity=2))
+        admitted = {rec.data[0] for rec in run.report.records}
+        dropped = [i for i in range(len(frames)) if i not in admitted]
+        assert run.report.packets_dropped_queue == len(dropped) > 0
+        # drops interleave with admissions, so record pids (which number
+        # admitted frames only) diverge from input indices
+        assert max(admitted) > min(dropped)
+        assert [i for i, a in enumerate(run.actions) if a is None] == dropped
+        for i in sorted(admitted):
+            assert run.actions[i] == vm.actions[i], i
+            assert run.frames[i] == vm.frames[i], i
+            assert run.packet_cycles[i] is not None
+
+    def test_gap_below_one_rejected(self):
+        from repro.apps import toy_counter
+
+        with pytest.raises(ValueError, match="gap"):
+            run_engine("codegen", toy_counter.build(), [bytes(64)], gap=0)
+
+
 class TestThreeWayEngineSelection:
     def test_three_way_hw_leg_on_codegen(self):
         from repro.rtl import run_three_way
@@ -203,7 +258,7 @@ class TestCliEngineFlag:
         out = capsys.readouterr().out
         for engine in pipeline_engine_names():
             assert engine in out
-        assert "parity OK" in out and "3 engines" in out
+        assert "parity OK" in out and "2 engines" in out
 
     def test_verify_engine_codegen(self, capsys, prog_file):
         from repro.cli import main

@@ -228,8 +228,10 @@ class TestProcessBatch:
         fw = compile_program(firewall.build())
         frames = [udp_packet(size=64)] * 50
         by_engine = {}
-        for engine in (None, "codegen"):
-            nic = MultiProgramNic([fw], lambda f: 0, engine=engine)
+        for engine in (None, "interpreted"):
+            # engine=None: the library default, no engine argument at all
+            kwargs = {} if engine is None else {"engine": engine}
+            nic = MultiProgramNic([fw], lambda f: 0, **kwargs)
             report = nic.process_batch(frames)[0].report
             by_engine[engine] = (report.cycles, dict(report.action_counts))
-        assert by_engine[None] == by_engine["codegen"]
+        assert by_engine[None] == by_engine["interpreted"]
